@@ -1,19 +1,18 @@
 //! Dynamic System Call Graph reconstruction.
 //!
-//! For each unique Function UUID the analyzer sorts the chain's events by
-//! ascending event number and parses them with the state machine of the
-//! paper's Figure 4. A synchronous invocation contributes the pattern
-//! `F.stub_start … F.skel_start … (children) … F.skel_end … F.stub_end`;
-//! a one-way invocation contributes `F.stub_start F.stub_end` on the parent
-//! chain and `F.skel_start … (children) … F.skel_end` at the head of a fresh
-//! child chain, which is grafted back under its fork site.
+//! For each unique Function UUID the analyzer feeds the chain's events, in
+//! ascending event-number order, to the Figure-4 machine (the crate's
+//! `figure4` module, which the live analyzer runs too) with a tree-building
+//! sink. A one-way invocation's skeleton side heads a fresh child chain,
+//! which is grafted back under its fork site once every chain is parsed.
 //!
-//! When adjacent records follow none of the legal transitions, the analyzer
-//! "indicates the failure and restarts from the next log record" — each such
-//! failure is reported as an [`Abnormality`].
+//! Records that follow none of the legal transitions are reported as
+//! [`Abnormality`] values, and parsing restarts from the next record.
 
+pub use crate::figure4::Abnormality;
+use crate::figure4::{Close, Frame, Machine, Sink};
 use causeway_collector::db::MonitoringDb;
-use causeway_core::event::{CallKind, TraceEvent};
+use causeway_core::event::CallKind;
 use causeway_core::pool;
 use causeway_core::record::{FunctionKey, ProbeRecord};
 use causeway_core::uuid::Uuid;
@@ -47,7 +46,7 @@ pub struct CallNode {
 }
 
 impl CallNode {
-    fn new(func: FunctionKey, kind: CallKind) -> CallNode {
+    pub(crate) fn new(func: FunctionKey, kind: CallKind) -> CallNode {
         CallNode {
             func,
             kind,
@@ -223,19 +222,6 @@ impl CallTree {
     }
 }
 
-/// A reconstruction failure: adjacent records followed none of the legal
-/// Figure-4 transitions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Abnormality {
-    /// The chain on which the failure occurred.
-    pub chain: Uuid,
-    /// The event number of the offending record (`None` for end-of-stream
-    /// failures such as never-closed invocations).
-    pub at_seq: Option<u64>,
-    /// Human-readable description.
-    pub message: String,
-}
-
 /// The Dynamic System Call Graph: the grouping of every chain's tree.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dscg {
@@ -277,15 +263,12 @@ impl Dscg {
         let uuids = db.unique_uuids();
         // Parse every chain independently on the pool; each shard returns
         // its tree plus the abnormalities it alone observed.
-        let shards = pool::par_map(uuids, threads, |&uuid| {
-            let mut local = Vec::new();
-            let chain = parse_chain(uuid, &db.events_for(uuid), &mut local);
-            (chain, local)
-        });
+        let shards =
+            pool::par_map(uuids, threads, |&uuid| parse_chain(uuid, &db.events_for(uuid)));
         let mut abnormalities = Vec::new();
         let mut parsed: HashMap<Uuid, ParsedChain> = HashMap::with_capacity(shards.len());
-        for (&uuid, (chain, local)) in uuids.iter().zip(shards) {
-            abnormalities.extend(local);
+        for (&uuid, mut chain) in uuids.iter().zip(shards) {
+            abnormalities.append(&mut chain.abnormalities);
             parsed.insert(uuid, chain);
         }
 
@@ -343,7 +326,10 @@ impl Dscg {
                                     // The message never arrived (lost one-way):
                                     // nothing to graft; the node stays skel-less.
                                 }
-                                1 => {
+                                // Only the chain's own skeleton head merges into
+                                // the fork node; a chain whose head was lost
+                                // keeps its roots as children below.
+                                1 if chain.roots[0].stub_start.is_none() => {
                                     let mut root = chain.roots.pop().expect("len checked");
                                     node.skel_start = root.skel_start.take();
                                     node.skel_end = root.skel_end.take();
@@ -355,7 +341,8 @@ impl Dscg {
                                         chain: child_id,
                                         at_seq: None,
                                         message: format!(
-                                            "one-way child chain has {n} roots, expected 1"
+                                            "one-way child chain has {n} root(s), \
+                                             expected one skeleton head"
                                         ),
                                     });
                                     // Keep them all as children of the fork node.
@@ -407,158 +394,50 @@ impl Dscg {
     }
 }
 
+/// One chain's forest, built from the closed frames of its Figure-4 run.
+#[derive(Default)]
 struct ParsedChain {
     roots: Vec<CallNode>,
     /// Parent marker when this chain began life as a one-way callee.
     oneway_parent: Option<(Uuid, u64)>,
+    abnormalities: Vec<Abnormality>,
 }
 
-/// The Figure-4 state machine over one chain's seq-sorted events.
-fn parse_chain(
-    chain: Uuid,
-    events: &[&ProbeRecord],
-    abnormalities: &mut Vec<Abnormality>,
-) -> ParsedChain {
-    let mut roots: Vec<CallNode> = Vec::new();
-    // Stack of open invocations; `usize` indexes into a scratch arena to
-    // avoid fighting the borrow checker with nested `&mut`.
-    let mut arena: Vec<CallNode> = Vec::new();
-    let mut stack: Vec<usize> = Vec::new();
-    let mut oneway_parent = None;
-
-    fn close(
-        arena: &mut [CallNode],
-        stack: &mut Vec<usize>,
-        roots: &mut Vec<CallNode>,
-        complete: bool,
-    ) {
-        let idx = stack.pop().expect("caller checks non-empty");
-        let placeholder = CallNode::new(
-            FunctionKey::new(
-                causeway_core::ids::InterfaceId(u32::MAX),
-                causeway_core::ids::MethodIndex(u16::MAX),
-                causeway_core::ids::ObjectId(u64::MAX),
-            ),
-            CallKind::Sync,
-        );
-        let mut node = std::mem::replace(&mut arena[idx], placeholder);
-        node.complete = complete;
-        match stack.last() {
-            Some(&parent) => arena[parent].children.push(node),
-            None => roots.push(node),
-        }
-    }
-
-    let mut abnormal = |seq: u64, message: String| {
-        abnormalities.push(Abnormality { chain, at_seq: Some(seq), message });
-    };
-
-    for record in events {
-        let top_matches = |arena: &Vec<CallNode>, stack: &Vec<usize>| {
-            stack
-                .last()
-                .map(|&i| arena[i].func == record.func)
-                .unwrap_or(false)
-        };
-        match record.event {
-            TraceEvent::StubStart => {
-                let mut node = CallNode::new(record.func, record.kind);
-                node.stub_start = Some((*record).clone());
-                arena.push(node);
-                stack.push(arena.len() - 1);
-            }
-            TraceEvent::SkelStart => {
-                if top_matches(&arena, &stack)
-                    && arena[*stack.last().expect("matched")].skel_start.is_none()
-                    && arena[*stack.last().expect("matched")].stub_start.is_some()
-                {
-                    let idx = *stack.last().expect("matched");
-                    arena[idx].skel_start = Some((*record).clone());
-                } else if stack.is_empty() && record.kind == CallKind::Oneway {
-                    // Head of a one-way child chain.
-                    let mut node = CallNode::new(record.func, record.kind);
-                    node.skel_start = Some((*record).clone());
-                    if oneway_parent.is_none() {
-                        oneway_parent = record.oneway_parent;
-                    }
-                    arena.push(node);
-                    stack.push(arena.len() - 1);
-                } else {
-                    abnormal(
-                        record.seq,
-                        format!("unexpected skel_start for {}", record.func),
-                    );
+impl Sink<()> for ParsedChain {
+    fn closed(&mut self, frame: Frame<()>, _: Close, _: usize, parent: Option<&mut Frame<()>>) {
+        let node = frame.node;
+        match parent {
+            Some(parent) => parent.node.children.push(node),
+            None => {
+                if self.oneway_parent.is_none() && node.stub_start.is_none() {
+                    self.oneway_parent = node.skel_start.as_ref().and_then(|r| r.oneway_parent);
                 }
-            }
-            TraceEvent::SkelEnd => {
-                if top_matches(&arena, &stack) {
-                    let idx = *stack.last().expect("matched");
-                    if arena[idx].skel_start.is_some() && arena[idx].skel_end.is_none() {
-                        arena[idx].skel_end = Some((*record).clone());
-                        // One-way skeleton side completes here (no stub_end
-                        // will arrive on this chain).
-                        if arena[idx].kind == CallKind::Oneway && arena[idx].stub_start.is_none() {
-                            close(&mut arena, &mut stack, &mut roots, true);
-                        }
-                    } else {
-                        abnormal(
-                            record.seq,
-                            format!("skel_end without open skeleton for {}", record.func),
-                        );
-                    }
-                } else {
-                    abnormal(record.seq, format!("unexpected skel_end for {}", record.func));
-                }
-            }
-            TraceEvent::StubEnd => {
-                if top_matches(&arena, &stack) {
-                    let idx = *stack.last().expect("matched");
-                    let node = &mut arena[idx];
-                    let legal = match node.kind {
-                        // One-way stub side: stub_start then stub_end, no
-                        // skeleton events on this chain.
-                        CallKind::Oneway => node.stub_start.is_some() && node.skel_end.is_none(),
-                        // Synchronous / collocated: the skeleton must have
-                        // closed first.
-                        _ => node.skel_end.is_some(),
-                    };
-                    if legal && node.stub_end.is_none() {
-                        node.stub_end = Some((*record).clone());
-                        close(&mut arena, &mut stack, &mut roots, true);
-                    } else {
-                        abnormal(
-                            record.seq,
-                            format!("stub_end out of order for {}", record.func),
-                        );
-                        // Restart heuristic: force-close the confused frame
-                        // so subsequent records can re-synchronize.
-                        close(&mut arena, &mut stack, &mut roots, false);
-                    }
-                } else {
-                    abnormal(record.seq, format!("unexpected stub_end for {}", record.func));
-                }
+                self.roots.push(node);
             }
         }
     }
 
-    // Anything left open never completed (lost records / crash).
-    while !stack.is_empty() {
-        let idx = *stack.last().expect("non-empty");
-        abnormalities.push(Abnormality {
-            chain,
-            at_seq: None,
-            message: format!("invocation {} never completed", arena[idx].func),
-        });
-        close(&mut arena, &mut stack, &mut roots, false);
+    fn abnormality(&mut self, abnormality: Abnormality) {
+        self.abnormalities.push(abnormality);
     }
+}
 
-    ParsedChain { roots, oneway_parent }
+/// Runs one chain's seq-sorted events through the Figure-4 machine.
+fn parse_chain(chain: Uuid, events: &[&ProbeRecord]) -> ParsedChain {
+    let mut parsed = ParsedChain::default();
+    let mut machine = Machine::new(chain);
+    for &record in events {
+        machine.step(record.clone(), &mut parsed);
+    }
+    machine.finish(&mut parsed);
+    parsed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use causeway_core::deploy::Deployment;
+    use causeway_core::event::TraceEvent;
     use causeway_core::ids::*;
     use causeway_core::names::VocabSnapshot;
     use causeway_core::record::CallSite;
@@ -677,6 +556,36 @@ mod tests {
         assert!(root.skel_start.is_some() && root.skel_end.is_some());
         assert_eq!(root.children.len(), 1);
         assert_eq!(root.children[0].func, func(6));
+    }
+
+    #[test]
+    fn child_chain_without_its_head_is_kept_below_the_fork_site() {
+        let mut fork = rec(1, 1, TraceEvent::StubStart, CallKind::Oneway, 5);
+        fork.oneway_child = Some(Uuid(2));
+        let records = vec![
+            fork,
+            rec(1, 2, TraceEvent::StubEnd, CallKind::Oneway, 5),
+            // The child chain's skel_start (seq 1) was lost.
+            rec(2, 2, TraceEvent::StubStart, CallKind::Sync, 6),
+            rec(2, 3, TraceEvent::SkelStart, CallKind::Sync, 6),
+            rec(2, 4, TraceEvent::SkelEnd, CallKind::Sync, 6),
+            rec(2, 5, TraceEvent::StubEnd, CallKind::Sync, 6),
+            rec(2, 6, TraceEvent::SkelEnd, CallKind::Oneway, 5),
+        ];
+        let dscg = build(records);
+        let fork = &dscg.trees[0].roots[0];
+        assert!(fork.skel_start.is_none(), "the sync call's records were not merged in");
+        assert_eq!(fork.children.len(), 1);
+        assert_eq!((fork.children[0].func, fork.children[0].kind), (func(6), CallKind::Sync));
+        let messages: Vec<&str> = dscg.abnormalities.iter().map(|a| a.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            vec![
+                "gap in event numbers: expected 1, have 2",
+                "unexpected skel_end for if0.m0@obj5",
+                "one-way child chain has 1 root(s), expected one skeleton head",
+            ]
+        );
     }
 
     #[test]

@@ -65,9 +65,9 @@ impl HistoryEntry {
 ///
 /// Two caps apply independently: at most `cap_windows` entries, and at most
 /// `cap_bytes` of approximate retained heap. Whichever bites first evicts
-/// from the oldest end; every eviction increments the
-/// `causeway_live_history_evictions` counter so an operator can tell the
-/// difference between "never happened" and "already aged out".
+/// from the oldest end; every eviction is counted, per store and in the
+/// process-wide `causeway_live_history_evictions` counter, so an operator
+/// can tell the difference between "never happened" and "already aged out".
 #[derive(Debug)]
 pub struct WindowHistory {
     ring: VecDeque<HistoryEntry>,
@@ -75,9 +75,14 @@ pub struct WindowHistory {
     cap_bytes: usize,
     bytes: usize,
     spill: Option<HistorySpill>,
-    evictions: Counter,
-    spilled: Counter,
-    spill_errors: Counter,
+    /// This store's own counts: evictions, spilled, spill errors.
+    evictions: u64,
+    spilled: u64,
+    spill_errors: u64,
+    /// The same counts summed over every store in the process.
+    evictions_total: Counter,
+    spilled_total: Counter,
+    spill_errors_total: Counter,
     retained: Gauge,
     retained_bytes: Gauge,
 }
@@ -93,15 +98,18 @@ impl WindowHistory {
             cap_bytes: cap_bytes.max(1),
             bytes: 0,
             spill: None,
-            evictions: registry.counter(
+            evictions: 0,
+            spilled: 0,
+            spill_errors: 0,
+            evictions_total: registry.counter(
                 "causeway_live_history_evictions",
                 "History windows evicted by the count or byte cap.",
             ),
-            spilled: registry.counter(
+            spilled_total: registry.counter(
                 "causeway_live_history_spilled",
                 "Evicted history windows appended to the spill segment.",
             ),
-            spill_errors: registry.counter(
+            spill_errors_total: registry.counter(
                 "causeway_live_history_spill_errors",
                 "Evicted history windows lost to spill write failures.",
             ),
@@ -148,11 +156,18 @@ impl WindowHistory {
         {
             let evicted = self.ring.pop_front().expect("len checked");
             self.bytes = self.bytes.saturating_sub(evicted.approx_bytes());
-            self.evictions.inc();
+            self.evictions += 1;
+            self.evictions_total.inc();
             if let Some(spill) = self.spill.as_mut() {
                 match spill.append(&evicted) {
-                    Ok(()) => self.spilled.inc(),
-                    Err(_) => self.spill_errors.inc(),
+                    Ok(()) => {
+                        self.spilled += 1;
+                        self.spilled_total.inc();
+                    }
+                    Err(_) => {
+                        self.spill_errors += 1;
+                        self.spill_errors_total.inc();
+                    }
                 };
             }
         }
@@ -277,19 +292,19 @@ impl WindowHistory {
         self.bytes
     }
 
-    /// Windows evicted so far (count + byte cap combined).
+    /// Windows this store evicted so far (count + byte cap combined).
     pub fn evictions(&self) -> u64 {
-        self.evictions.get()
+        self.evictions
     }
 
-    /// Evicted windows successfully appended to the spill segment.
+    /// Windows this store evicted and appended to its spill segment.
     pub fn spilled(&self) -> u64 {
-        self.spilled.get()
+        self.spilled
     }
 
-    /// Evicted windows lost to spill write failures.
+    /// Windows this store evicted and lost to spill write failures.
     pub fn spill_errors(&self) -> u64 {
-        self.spill_errors.get()
+        self.spill_errors
     }
 }
 
@@ -801,12 +816,14 @@ mod tests {
     #[test]
     fn ring_caps_by_window_count_and_counts_evictions() {
         let mut history = WindowHistory::new(4, usize::MAX);
-        let before = history.evictions();
+        let mut other = WindowHistory::new(4, usize::MAX);
         for i in 0..10u64 {
             history.push(entry(i, 1000));
+            other.push(entry(i, 1000));
         }
         assert_eq!(history.len(), 4);
-        assert_eq!(history.evictions() - before, 6);
+        assert_eq!(history.evictions(), 6, "counts are per store");
+        assert_eq!(other.evictions(), 6);
         assert!(history.get(5).is_none(), "evicted ordinal");
         assert_eq!(history.get(9).unwrap().window.index, 9);
         assert_eq!(history.get(6).unwrap().window.index, 6);
@@ -862,12 +879,11 @@ mod tests {
         let spill = TempSpill::new("evict");
         let mut history = WindowHistory::new(4, usize::MAX);
         history.enable_spill(&spill.0).unwrap();
-        let spilled_before = history.spilled();
         for i in 0..10u64 {
             history.push(entry(i, 1000 + i));
         }
         assert_eq!(history.len(), 4, "ring still caps at 4");
-        assert_eq!(history.spilled() - spilled_before, 6, "six evictions spilled");
+        assert_eq!(history.spilled(), 6, "six evictions spilled");
         assert_eq!(history.spill().unwrap().len(), 6);
         assert_eq!(history.spill().unwrap().min_index(), Some(0));
         assert_eq!(history.spill().unwrap().max_index(), Some(5));

@@ -17,6 +17,7 @@ use crate::dscg::{CallNode, Dscg, walk_nodes};
 use causeway_core::event::CallKind;
 use causeway_core::ids::{InterfaceId, MethodIndex};
 use causeway_core::pool;
+use causeway_core::record::ProbeRecord;
 use std::collections::BTreeMap;
 
 /// Latency of a single invocation, ns.
@@ -31,57 +32,48 @@ pub struct NodeLatency {
 /// Computes `L(F)` for one node, or `None` when the needed wall stamps are
 /// absent (latency probing was off, or the invocation is incomplete).
 pub fn node_latency(node: &CallNode) -> Option<NodeLatency> {
-    let overhead = child_probe_overhead(node);
-    let window = match node.kind {
-        CallKind::Sync => {
-            let end = node.stub_end.as_ref()?.wall_start?;
-            let start = node.stub_start.as_ref()?.wall_end?;
-            end.saturating_sub(start)
-        }
-        CallKind::Oneway => {
-            // Prefer the skeleton side (actual execution) when the fork was
-            // grafted; fall back to the stub side (send cost) otherwise.
-            match (&node.skel_start, &node.skel_end) {
-                (Some(ss), Some(se)) => se.wall_start?.saturating_sub(ss.wall_end?),
-                _ => {
-                    let end = node.stub_end.as_ref()?.wall_start?;
-                    let start = node.stub_start.as_ref()?.wall_end?;
-                    end.saturating_sub(start)
-                }
-            }
-        }
-        CallKind::Collocated | CallKind::CustomMarshal => {
-            let end = node.skel_end.as_ref()?.wall_start?;
-            let start = node.skel_start.as_ref()?.wall_end?;
-            end.saturating_sub(start)
-        }
-    };
+    let window = window_ns(node)?;
+    let overhead = node.children.iter().map(caller_side_spans).sum();
     Some(NodeLatency {
         latency_ns: window.saturating_sub(overhead),
         overhead_ns: overhead,
     })
 }
 
-/// `O_F`: the summed probe spans of the immediate children, restricted to
-/// the probes that execute inside the caller's measured window.
-fn child_probe_overhead(node: &CallNode) -> u64 {
-    let mut total = 0u64;
-    for child in &node.children {
-        let caller_side = match child.kind {
-            CallKind::Oneway => [&child.stub_start, &child.stub_end].to_vec(),
-            _ => [
-                &child.stub_start,
-                &child.skel_start,
-                &child.skel_end,
-                &child.stub_end,
-            ]
-            .to_vec(),
-        };
-        for record in caller_side.into_iter().flatten() {
-            total += record.wall_span().unwrap_or(0);
+/// The measured window of `L(F)` before `O_F` is subtracted, or `None` when
+/// a needed wall stamp is absent. Children are not consulted, so the live
+/// analyzer applies it to an open frame and subtracts its own running `O_F`.
+pub(crate) fn window_ns(node: &CallNode) -> Option<u64> {
+    let between = |start: &Option<ProbeRecord>, end: &Option<ProbeRecord>| {
+        Some(end.as_ref()?.wall_start?.saturating_sub(start.as_ref()?.wall_end?))
+    };
+    match node.kind {
+        CallKind::Sync => between(&node.stub_start, &node.stub_end),
+        // Prefer the skeleton side (actual execution) when it is known —
+        // a grafted fork, or a child chain's head — and fall back to the
+        // stub side (send cost) otherwise.
+        CallKind::Oneway if node.skel_start.is_some() && node.skel_end.is_some() => {
+            between(&node.skel_start, &node.skel_end)
+        }
+        CallKind::Oneway => between(&node.stub_start, &node.stub_end),
+        CallKind::Collocated | CallKind::CustomMarshal => {
+            between(&node.skel_start, &node.skel_end)
         }
     }
-    total
+}
+
+/// The node's term in its caller's `O_F`: the summed spans of its probes
+/// that execute inside the caller's measured window — all four for a
+/// synchronous call, the stub probes only for a one-way call.
+pub(crate) fn caller_side_spans(node: &CallNode) -> u64 {
+    let span = |record: &Option<ProbeRecord>| {
+        record.as_ref().and_then(ProbeRecord::wall_span).unwrap_or(0)
+    };
+    let stub = span(&node.stub_start) + span(&node.stub_end);
+    match node.kind {
+        CallKind::Oneway => stub,
+        _ => stub + span(&node.skel_start) + span(&node.skel_end),
+    }
 }
 
 /// Aggregate latency statistics for one (interface, method).

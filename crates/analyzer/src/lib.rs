@@ -4,9 +4,12 @@
 //! **Dynamic System Call Graph** from the causality records, then compute
 //! end-to-end timing latency and system-wide CPU consumption on top of it.
 //!
-//! * [`dscg`] — the Figure-4 state machine that parses each causal chain's
-//!   event stream into a call tree, with "abnormal" transition reporting and
-//!   restart; one-way child chains are grafted under their fork sites.
+//! * `figure4` (crate-internal) — the Figure-4 state machine, with
+//!   "abnormal" transition reporting and restart: the one automaton both
+//!   the off-line and the live path run, per causal chain.
+//! * [`dscg`] — parses each causal chain's event stream into a call tree
+//!   with that machine; one-way child chains are grafted under their fork
+//!   sites.
 //! * [`latency`] — `L(F) = P_{F,4,start} − P_{F,1,end} − O_F` with the
 //!   probe-overhead compensation `O_F`, plus per-method statistics.
 //! * [`cpu`] — self CPU `SC_F`, descendant CPU `DC_F` as a vector per
@@ -35,6 +38,7 @@ pub mod chrome_trace;
 pub mod cpu;
 pub mod dscg;
 pub mod exemplar;
+mod figure4;
 pub mod history;
 pub mod hotspot;
 pub mod incident;

@@ -54,6 +54,7 @@
 
 use crate::chrome_trace;
 use crate::exemplar::{self, ExemplarConfig, ExemplarStore};
+use crate::figure4::Abnormality;
 use crate::history::{diff_folded, BurnRule, BurnState, HistoryEntry, WindowHistory};
 use crate::incident::{self, HypothesisKind, Incident, IncidentStore};
 use crate::latency::LatencyHistogram;
@@ -1380,7 +1381,7 @@ impl LiveMonitor {
         for event in events {
             let chain = match &event {
                 OnlineEvent::CallCompleted { chain, .. }
-                | OnlineEvent::Abnormality { chain, .. }
+                | OnlineEvent::Abnormality(Abnormality { chain, .. })
                 | OnlineEvent::ChainIdle { chain, .. } => *chain,
             };
             if open.as_ref().map(|g| g.chain) != Some(chain) {
@@ -1410,12 +1411,13 @@ impl LiveMonitor {
                     }
                     group.effects.push(Effect::Completed { key });
                 }
-                OnlineEvent::Abnormality { chain, at_seq, message } => {
+                OnlineEvent::Abnormality(Abnormality { chain, at_seq, message }) => {
                     shard.slices.entry(apply_at).or_default().abnormalities += 1;
-                    group.effects.push(Effect::Abnormal {
-                        chain,
-                        message: format!("seq {at_seq}: {message}"),
-                    });
+                    let message = match at_seq {
+                        Some(seq) => format!("seq {seq}: {message}"),
+                        None => message,
+                    };
+                    group.effects.push(Effect::Abnormal { chain, message });
                 }
                 OnlineEvent::ChainIdle { chain, .. } => {
                     // Completed transactions must not accumulate analyzer
@@ -3548,6 +3550,18 @@ mod tests {
         // The chain's per-chain analyzer state is gone entirely (not just
         // filtered out of the summaries).
         assert!(!shard.analyzer.forget_chain(Uuid(1)), "state already dropped");
+    }
+
+    #[test]
+    fn same_seq_duplicate_still_lets_the_chain_complete() {
+        let m = monitor();
+        let mut records = sync_call(1, 0, 0, 1000);
+        records.insert(3, records[2].clone()); // skel_end retransmitted
+        m.ingest_batch_at(records, 10);
+        assert_eq!(m.open_chain_summaries(), vec![], "nothing left pending");
+        let recent = m.recent_chains_json().to_string();
+        assert!(recent.contains(&Uuid(1).to_string()), "{recent}");
+        assert_eq!(m.total_abnormalities(), 1);
     }
 
     #[test]

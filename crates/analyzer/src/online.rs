@@ -9,14 +9,20 @@
 //! abnormal transition appeared. Unlike the off-line [`crate::dscg::Dscg`]
 //! pass, no quiescence is required — which is precisely what an adaptive
 //! runtime manager needs.
+//!
+//! Reconstruction is the Figure-4 machine (the crate's `figure4` module) that
+//! the off-line pass runs too, one per chain, so both paths report the same
+//! abnormalities and complete the same calls for the same records.
 
-use causeway_core::event::{CallKind, TraceEvent};
+use crate::figure4::{Abnormality, Close, Frame, Machine, Sink};
+use crate::latency;
+use causeway_core::event::CallKind;
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
 use causeway_core::pool;
 use causeway_core::record::{FunctionKey, ProbeRecord};
 use causeway_core::sink::{Chunk, LogStore};
 use causeway_core::uuid::Uuid;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -119,37 +125,55 @@ pub enum OnlineEvent {
         /// Invocations completed on it so far.
         completed_calls: usize,
     },
-    /// Adjacent records followed none of the legal Figure-4 transitions.
-    Abnormality {
-        /// The chain.
-        chain: Uuid,
-        /// Event number of the offending record.
-        at_seq: u64,
-        /// Description.
-        message: String,
-    },
+    /// A record followed none of the legal Figure-4 transitions, or the
+    /// chain's event numbers were not dense — the same report the off-line
+    /// [`crate::dscg::Dscg`] pass makes for the same records.
+    Abnormality(Abnormality),
 }
 
-#[derive(Debug)]
-struct OpenCall {
-    func: FunctionKey,
-    kind: CallKind,
-    stub_start: Option<ProbeRecord>,
-    skel_start: Option<ProbeRecord>,
-    skel_end: Option<ProbeRecord>,
-    /// Probe spans of completed children, for `O_F` compensation.
-    child_overhead_ns: u64,
+/// Turns one chain's closed frames into [`OnlineEvent`]s. A frame's
+/// accumulator is its running `O_F`: the caller-side probe spans of its
+/// closed children.
+struct EventSink<'a, F: FnMut(OnlineEvent)> {
+    chain: Uuid,
+    out: &'a mut F,
 }
 
-#[derive(Debug, Default)]
-struct ChainState {
-    /// The highest event number processed so far (dense numbering: the next
-    /// record to process is `processed + 1`).
-    processed: u64,
-    /// Out-of-order arrivals waiting for their predecessors.
-    pending: BTreeMap<u64, ProbeRecord>,
-    stack: Vec<OpenCall>,
-    completed_calls: usize,
+impl<F: FnMut(OnlineEvent)> Sink<u64> for EventSink<'_, F> {
+    fn closed(
+        &mut self,
+        frame: Frame<u64>,
+        how: Close,
+        depth: usize,
+        parent: Option<&mut Frame<u64>>,
+    ) {
+        let node = &frame.node;
+        if let Some(parent) = parent {
+            parent.acc += latency::caller_side_spans(node);
+        }
+        // A one-way send completes on its child chain; a forced close
+        // never completed at all.
+        if how == Close::Complete {
+            (self.out)(OnlineEvent::CallCompleted {
+                chain: self.chain,
+                func: node.func,
+                kind: node.kind,
+                depth,
+                latency_ns: latency::window_ns(node).map(|w| w.saturating_sub(frame.acc)),
+            });
+        }
+    }
+
+    fn abnormality(&mut self, abnormality: Abnormality) {
+        (self.out)(OnlineEvent::Abnormality(abnormality));
+    }
+}
+
+/// The [`OnlineEvent::ChainIdle`] a chain warrants after its latest records.
+fn idle_event(chain: Uuid, machine: &Machine<u64>) -> Option<OnlineEvent> {
+    let completed_calls = machine.completed();
+    (machine.is_idle() && completed_calls > 0)
+        .then_some(OnlineEvent::ChainIdle { chain, completed_calls })
 }
 
 /// Incremental, order-tolerant causality analyzer.
@@ -168,7 +192,7 @@ struct ChainState {
 /// ```
 #[derive(Debug, Default)]
 pub struct OnlineAnalyzer {
-    chains: HashMap<Uuid, ChainState>,
+    chains: HashMap<Uuid, Machine<u64>>,
 }
 
 impl OnlineAnalyzer {
@@ -179,15 +203,12 @@ impl OnlineAnalyzer {
 
     /// Chains with unfinished work (open invocations or buffered records).
     pub fn open_chains(&self) -> usize {
-        self.chains
-            .values()
-            .filter(|c| !c.stack.is_empty() || !c.pending.is_empty())
-            .count()
+        self.chains.values().filter(|c| !c.is_idle()).count()
     }
 
     /// Records buffered waiting for out-of-order predecessors.
     pub fn buffered_records(&self) -> usize {
-        self.chains.values().map(|c| c.pending.len()).sum()
+        self.chains.values().map(Machine::buffered).sum()
     }
 
     /// A point-in-time description of every chain with unfinished work, for
@@ -196,14 +217,14 @@ impl OnlineAnalyzer {
         let mut out: Vec<OpenChainSummary> = self
             .chains
             .iter()
-            .filter(|(_, c)| !c.stack.is_empty() || !c.pending.is_empty())
+            .filter(|(_, c)| !c.is_idle())
             .map(|(&chain, c)| OpenChainSummary {
                 chain,
-                open_calls: c.stack.len(),
-                innermost: c.stack.last().map(|o| o.func),
-                buffered_records: c.pending.len(),
-                completed_calls: c.completed_calls,
-                processed_seq: c.processed,
+                open_calls: c.open_calls(),
+                innermost: c.innermost(),
+                buffered_records: c.buffered(),
+                completed_calls: c.completed(),
+                processed_seq: c.processed(),
             })
             .collect();
         out.sort_by_key(|s| s.chain);
@@ -237,18 +258,10 @@ impl OnlineAnalyzer {
     pub fn ingest(&mut self, record: ProbeRecord, sink: &mut impl FnMut(OnlineEvent)) {
         online_metrics().records.add(1);
         let chain = record.uuid;
-        let state = self.chains.entry(chain).or_default();
-        state.pending.insert(record.seq, record);
-        // Drain the contiguous prefix.
-        while let Some(record) = {
-            let next = state.processed + 1;
-            state.pending.remove(&next)
-        } {
-            state.processed = record.seq;
-            Self::apply(chain, state, record, sink);
-        }
-        if state.stack.is_empty() && state.pending.is_empty() && state.completed_calls > 0 {
-            emit(sink, OnlineEvent::ChainIdle { chain, completed_calls: state.completed_calls });
+        let machine = self.chains.entry(chain).or_insert_with(|| Machine::new(chain));
+        machine.step(record, &mut EventSink { chain, out: &mut |e| emit(sink, e) });
+        if let Some(idle) = idle_event(chain, machine) {
+            emit(sink, idle);
         }
     }
 
@@ -294,31 +307,24 @@ impl OnlineAnalyzer {
             shards[idx].1.push(record);
         }
         // Move each touched chain's state out to its worker.
-        let work: Vec<(Uuid, ChainState, Vec<ProbeRecord>)> = shards
+        let work: Vec<(Uuid, Machine<u64>, Vec<ProbeRecord>)> = shards
             .into_iter()
-            .map(|(uuid, recs)| (uuid, self.chains.remove(&uuid).unwrap_or_default(), recs))
+            .map(|(uuid, recs)| {
+                let machine = self.chains.remove(&uuid).unwrap_or_else(|| Machine::new(uuid));
+                (uuid, machine, recs)
+            })
             .collect();
-        let done = pool::par_map_vec(work, threads, |(chain, mut state, recs)| {
+        let done = pool::par_map_vec(work, threads, |(chain, mut machine, recs)| {
             let mut events = Vec::new();
+            let mut out = |e| events.push(e);
             for record in recs {
-                state.pending.insert(record.seq, record);
-                // Drain the contiguous prefix, as `ingest` does.
-                while let Some(record) = {
-                    let next = state.processed + 1;
-                    state.pending.remove(&next)
-                } {
-                    state.processed = record.seq;
-                    Self::apply(chain, &mut state, record, &mut |e| events.push(e));
-                }
+                machine.step(record, &mut EventSink { chain, out: &mut out });
             }
-            if state.stack.is_empty() && state.pending.is_empty() && state.completed_calls > 0 {
-                events
-                    .push(OnlineEvent::ChainIdle { chain, completed_calls: state.completed_calls });
-            }
-            (chain, state, events)
+            events.extend(idle_event(chain, &machine));
+            (chain, machine, events)
         });
-        for (chain, state, events) in done {
-            self.chains.insert(chain, state);
+        for (chain, machine, events) in done {
+            self.chains.insert(chain, machine);
             for event in events {
                 sink(event);
             }
@@ -373,206 +379,19 @@ impl OnlineAnalyzer {
     /// Forces out everything still buffered (end of run): gaps are reported
     /// as abnormalities, open invocations as incomplete.
     pub fn finish(&mut self, sink: &mut impl FnMut(OnlineEvent)) {
-        let mut chains: Vec<Uuid> = self.chains.keys().copied().collect();
-        chains.sort();
-        for chain in chains {
-            let mut state = self.chains.remove(&chain).expect("key listed");
-            while let Some((&seq, _)) = state.pending.iter().next() {
-                if seq != state.processed + 1 {
-                    emit(sink, OnlineEvent::Abnormality {
-                        chain,
-                        at_seq: seq,
-                        message: format!(
-                            "gap in event numbers: expected {}, have {seq}",
-                            state.processed + 1
-                        ),
-                    });
-                }
-                let record = state.pending.remove(&seq).expect("key just read");
-                state.processed = seq;
-                Self::apply(chain, &mut state, record, sink);
-            }
-            for open in state.stack.drain(..).rev() {
-                emit(sink, OnlineEvent::Abnormality {
-                    chain,
-                    at_seq: state.processed,
-                    message: format!("invocation {} never completed", open.func),
-                });
-            }
+        let mut chains: Vec<(Uuid, Machine<u64>)> = self.chains.drain().collect();
+        chains.sort_by_key(|(chain, _)| *chain);
+        for (chain, machine) in chains {
+            machine.finish(&mut EventSink { chain, out: &mut |e| emit(sink, e) });
         }
         self.publish_metrics();
     }
-
-    /// The incremental Figure-4 state machine (mirrors the off-line parser
-    /// in [`crate::dscg`]).
-    fn apply(
-        chain: Uuid,
-        state: &mut ChainState,
-        record: ProbeRecord,
-        sink: &mut impl FnMut(OnlineEvent),
-    ) {
-        let top_matches = state
-            .stack
-            .last()
-            .map(|open| open.func == record.func)
-            .unwrap_or(false);
-        match record.event {
-            TraceEvent::StubStart => {
-                state.stack.push(OpenCall {
-                    func: record.func,
-                    kind: record.kind,
-                    stub_start: Some(record),
-                    skel_start: None,
-                    skel_end: None,
-                    child_overhead_ns: 0,
-                });
-            }
-            TraceEvent::SkelStart => {
-                if top_matches
-                    && state.stack.last().map(|o| o.skel_start.is_none()).unwrap_or(false)
-                {
-                    state.stack.last_mut().expect("matched").skel_start = Some(record);
-                } else if state.stack.is_empty() && record.kind == CallKind::Oneway {
-                    state.stack.push(OpenCall {
-                        func: record.func,
-                        kind: record.kind,
-                        stub_start: None,
-                        skel_start: Some(record),
-                        skel_end: None,
-                        child_overhead_ns: 0,
-                    });
-                } else {
-                    emit(sink, OnlineEvent::Abnormality {
-                        chain,
-                        at_seq: record.seq,
-                        message: format!("unexpected skel_start for {}", record.func),
-                    });
-                }
-            }
-            TraceEvent::SkelEnd => {
-                if top_matches
-                    && state.stack.last().map(|o| o.skel_start.is_some()).unwrap_or(false)
-                {
-                    let is_oneway_root = {
-                        let open = state.stack.last().expect("matched");
-                        open.kind == CallKind::Oneway && open.stub_start.is_none()
-                    };
-                    state.stack.last_mut().expect("matched").skel_end = Some(record);
-                    if is_oneway_root {
-                        Self::complete_top(chain, state, sink);
-                    }
-                } else {
-                    emit(sink, OnlineEvent::Abnormality {
-                        chain,
-                        at_seq: record.seq,
-                        message: format!("unexpected skel_end for {}", record.func),
-                    });
-                }
-            }
-            TraceEvent::StubEnd => {
-                let legal = top_matches && {
-                    let open = state.stack.last().expect("matched");
-                    match open.kind {
-                        CallKind::Oneway => open.stub_start.is_some() && open.skel_end.is_none(),
-                        _ => open.skel_end.is_some(),
-                    }
-                };
-                if legal {
-                    let depth = state.stack.len() - 1;
-                    let open = state.stack.last().expect("matched");
-                    let latency = compensated_latency(open, &record);
-                    let func = open.func;
-                    let kind = open.kind;
-                    // The one-way stub side only confirms the *send*; the
-                    // call completes on its child chain (skeleton side), so
-                    // emitting here would double-count the invocation.
-                    let is_oneway_send = open.kind == CallKind::Oneway && open.skel_end.is_none();
-                    // Charge this call's caller-side probe spans to the
-                    // parent's overhead accumulator.
-                    let caller_spans = caller_side_spans(open, &record);
-                    state.stack.pop();
-                    if let Some(parent) = state.stack.last_mut() {
-                        parent.child_overhead_ns += caller_spans;
-                    }
-                    if !is_oneway_send {
-                        state.completed_calls += 1;
-                        emit(
-                            sink,
-                            OnlineEvent::CallCompleted { chain, func, kind, depth, latency_ns: latency },
-                        );
-                    }
-                } else {
-                    emit(sink, OnlineEvent::Abnormality {
-                        chain,
-                        at_seq: record.seq,
-                        message: format!("stub_end out of order for {}", record.func),
-                    });
-                    // Restart heuristic: drop the confused frame.
-                    if top_matches {
-                        state.stack.pop();
-                    }
-                }
-            }
-        }
-    }
-
-    fn complete_top(chain: Uuid, state: &mut ChainState, sink: &mut impl FnMut(OnlineEvent)) {
-        let open = state.stack.pop().expect("caller checked");
-        let depth = state.stack.len();
-        // One-way skeleton side: latency from the skel window.
-        let latency = match (&open.skel_start, &open.skel_end) {
-            (Some(start), Some(end)) => match (start.wall_end, end.wall_start) {
-                (Some(s), Some(e)) => Some(e.saturating_sub(s).saturating_sub(open.child_overhead_ns)),
-                _ => None,
-            },
-            _ => None,
-        };
-        state.completed_calls += 1;
-        emit(sink, OnlineEvent::CallCompleted {
-            chain,
-            func: open.func,
-            kind: open.kind,
-            depth,
-            latency_ns: latency,
-        });
-    }
-}
-
-/// `L(F)` for a closing synchronous/one-way-stub-side call.
-fn compensated_latency(open: &OpenCall, stub_end: &ProbeRecord) -> Option<u64> {
-    let window = match open.kind {
-        CallKind::Collocated | CallKind::CustomMarshal => {
-            let end = open.skel_end.as_ref()?.wall_start?;
-            let start = open.skel_start.as_ref()?.wall_end?;
-            end.saturating_sub(start)
-        }
-        _ => {
-            let end = stub_end.wall_start?;
-            let start = open.stub_start.as_ref()?.wall_end?;
-            end.saturating_sub(start)
-        }
-    };
-    Some(window.saturating_sub(open.child_overhead_ns))
-}
-
-/// The probe spans of a completed call that sat inside its caller's window.
-fn caller_side_spans(open: &OpenCall, stub_end: &ProbeRecord) -> u64 {
-    let mut spans = 0u64;
-    let records: [&Option<ProbeRecord>; 3] = [&open.stub_start, &open.skel_start, &open.skel_end];
-    for record in records.into_iter().flatten() {
-        // One-way children only occupy the caller with their stub probes.
-        if open.kind == CallKind::Oneway && record.event.is_skel_side() {
-            continue;
-        }
-        spans += record.wall_span().unwrap_or(0);
-    }
-    spans += stub_end.wall_span().unwrap_or(0);
-    spans
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use causeway_core::event::TraceEvent;
     use causeway_core::ids::*;
     use causeway_core::record::CallSite;
 
@@ -721,10 +540,10 @@ mod tests {
         assert_eq!(analyzer.open_chains(), 1);
         analyzer.finish(&mut |e| events.push(e));
         let gap = events.iter().any(
-            |e| matches!(e, OnlineEvent::Abnormality { message, .. } if message.contains("gap")),
+            |e| matches!(e, OnlineEvent::Abnormality(a) if a.message.contains("gap")),
         );
         let incomplete = events.iter().any(
-            |e| matches!(e, OnlineEvent::Abnormality { message, .. } if message.contains("never completed")),
+            |e| matches!(e, OnlineEvent::Abnormality(a) if a.message.contains("never completed")),
         );
         assert!(gap, "{events:?}");
         assert!(incomplete, "{events:?}");

@@ -7,10 +7,16 @@
 //! * event numbering density per chain;
 //! * CPU conservation (inclusive CPU of a root equals the sum of self CPU
 //!   over its subtree);
+//! * **off-line / on-line agreement**: on executed trees whose record
+//!   streams are then dropped, duplicated, shuffled and cut short, the
+//!   off-line DSCG and the live analyzer report the same abnormalities and
+//!   complete the same calls with the same latencies;
 //! * analyzer totality on arbitrary (even nonsensical) record streams.
 
 use causeway::analyzer::cpu::CpuAnalysis;
-use causeway::analyzer::dscg::{CallNode, Dscg};
+use causeway::analyzer::dscg::{Abnormality, CallNode, Dscg};
+use causeway::analyzer::latency::node_latency;
+use causeway::analyzer::online::{OnlineAnalyzer, OnlineEvent};
 use causeway::collector::db::MonitoringDb;
 use causeway::collector::jsonl;
 use causeway::core::deploy::Deployment;
@@ -111,9 +117,9 @@ fn count_nodes(node: &SpecNode) -> usize {
 }
 
 /// Builds one servant per spec node; node `i` calls its children in order.
-fn run_spec(root: &SpecNode) -> (MonitoringDb, usize) {
+fn run_spec(root: &SpecNode, mode: ProbeMode) -> (MonitoringDb, usize) {
     let mut builder = System::builder();
-    builder.probe_mode(ProbeMode::CausalityOnly);
+    builder.probe_mode(mode);
     let node = builder.node("n", "X");
     let driver = builder.process("driver", node, ThreadingPolicy::ThreadPerRequest);
     let ps: Vec<_> = (0..3)
@@ -218,7 +224,7 @@ proptest! {
 
     #[test]
     fn any_call_tree_is_reconstructed_exactly(spec in spec_tree()) {
-        let (db, expected_nodes) = run_spec(&spec);
+        let (db, expected_nodes) = run_spec(&spec, ProbeMode::CausalityOnly);
         let dscg = Dscg::build(&db);
         prop_assert!(dscg.abnormalities.is_empty(), "{:?}", dscg.abnormalities);
         prop_assert_eq!(dscg.trees.len(), 1, "one root chain (oneway children grafted)");
@@ -231,11 +237,136 @@ proptest! {
 
     #[test]
     fn event_numbering_is_dense_per_chain(spec in spec_tree()) {
-        let (db, _) = run_spec(&spec);
+        let (db, _) = run_spec(&spec, ProbeMode::CausalityOnly);
         for &uuid in db.unique_uuids() {
             let seqs: Vec<u64> = db.events_for(uuid).iter().map(|r| r.seq).collect();
             let expected: Vec<u64> = (1..=seqs.len() as u64).collect();
             prop_assert_eq!(seqs, expected, "chain {} numbering must be dense", uuid);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Off-line and on-line reconstruction agree on damaged streams
+// ---------------------------------------------------------------------------
+
+/// Damages a record stream one way; `at` picks the record.
+fn damage(records: &mut Vec<ProbeRecord>, kind: u8, at: usize) {
+    if records.is_empty() {
+        return;
+    }
+    let i = at % records.len();
+    match kind {
+        // A lost record.
+        0 => {
+            records.remove(i);
+        }
+        // A retransmission under the same event number.
+        1 => records.push(records[i].clone()),
+        // A copy under a fresh event number.
+        2 => {
+            let mut copy = records[i].clone();
+            let last = records.iter().filter(|r| r.uuid == copy.uuid).map(|r| r.seq).max();
+            copy.seq = last.unwrap_or(0) + 1;
+            records.push(copy);
+        }
+        // The chain cut short after record `i`.
+        _ => {
+            let (chain, seq) = (records[i].uuid, records[i].seq);
+            records.retain(|r| r.uuid != chain || r.seq <= seq);
+        }
+    }
+}
+
+fn shuffle(records: &mut [ProbeRecord], mut seed: u64) {
+    for i in (1..records.len()).rev() {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        records.swap(i, (seed >> 33) as usize % (i + 1));
+    }
+}
+
+/// A completed call: `(chain, func, kind, latency_ns)`.
+type Completion = (Uuid, FunctionKey, CallKind, Option<u64>);
+
+/// What one path reconstructed, sorted so the two paths compare exactly.
+type View = (Vec<Abnormality>, Vec<Completion>);
+
+fn sorted(mut abnormalities: Vec<Abnormality>, mut completed: Vec<Completion>) -> View {
+    abnormalities.sort();
+    completed.sort_by_key(|&(chain, func, kind, latency)| (chain, func, kind as u8, latency));
+    (abnormalities, completed)
+}
+
+/// The off-line DSCG's abnormalities (less the cross-chain graft reports,
+/// which have no on-line counterpart) and completed calls. A one-way call
+/// completes where its skeleton ran, on its child chain.
+fn offline_view(records: &[ProbeRecord]) -> View {
+    let dscg = Dscg::build(&MonitoringDb::from_run(RunLog::new(
+        records.to_vec(),
+        VocabSnapshot::default(),
+        Deployment::new(),
+    )));
+    let mut completed = Vec::new();
+    dscg.walk(&mut |node, _| {
+        let completed_on = match node.kind {
+            CallKind::Oneway => node.skel_end.as_ref(),
+            _ if node.complete => node.stub_start.as_ref(),
+            _ => None,
+        };
+        if let Some(record) = completed_on {
+            let latency = node_latency(node).map(|l| l.latency_ns);
+            completed.push((record.uuid, node.func, node.kind, latency));
+        }
+    });
+    let abnormalities = dscg
+        .abnormalities
+        .into_iter()
+        .filter(|a| !a.message.starts_with("one-way child chain"))
+        .collect();
+    sorted(abnormalities, completed)
+}
+
+/// The live analyzer's view of the same records, in arrival order.
+fn online_view(records: &[ProbeRecord]) -> View {
+    let mut analyzer = OnlineAnalyzer::new();
+    let (mut abnormalities, mut completed) = (Vec::new(), Vec::new());
+    let mut sink = |event| match event {
+        OnlineEvent::CallCompleted { chain, func, kind, latency_ns, .. } => {
+            completed.push((chain, func, kind, latency_ns));
+        }
+        OnlineEvent::Abnormality(a) => abnormalities.push(a),
+        OnlineEvent::ChainIdle { .. } => {}
+    };
+    for record in records {
+        analyzer.ingest(record.clone(), &mut sink);
+    }
+    analyzer.finish(&mut sink);
+    sorted(abnormalities, completed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Each round damages the executed stream with a few drops,
+    /// duplicates and truncations, then shuffles the arrival order.
+    #[test]
+    fn offline_and_online_reconstruction_agree_on_damaged_streams(
+        spec in spec_tree(),
+        rounds in prop::collection::vec(
+            (prop::collection::vec((0u8..4, any::<usize>()), 0..5), any::<u64>()),
+            6..10,
+        ),
+    ) {
+        let (db, _) = run_spec(&spec, ProbeMode::Latency);
+        for (ops, seed) in rounds {
+            let mut records = db.records().to_vec();
+            for (kind, at) in ops {
+                damage(&mut records, kind, at);
+            }
+            shuffle(&mut records, seed);
+            let (offline, online) = (offline_view(&records), online_view(&records));
+            prop_assert_eq!(&online.0, &offline.0, "abnormalities");
+            prop_assert_eq!(&online.1, &offline.1, "completed calls");
         }
     }
 }
@@ -262,7 +393,7 @@ proptest! {
         drop(builder); // the simple path below rebuilds via run_spec
         let _ = driver;
 
-        let (db, _) = run_spec(&spec);
+        let (db, _) = run_spec(&spec, ProbeMode::CausalityOnly);
         let dscg = Dscg::build(&db);
         let analysis = CpuAnalysis::compute(&dscg, db.deployment());
 
@@ -403,7 +534,7 @@ proptest! {
     /// reconstructs to the same shape — closing the record→replay loop.
     #[test]
     fn derived_harness_replays_to_the_same_shape(spec in spec_tree()) {
-        let (db, expected_nodes) = run_spec(&spec);
+        let (db, expected_nodes) = run_spec(&spec, ProbeMode::CausalityOnly);
         let harness = causeway::workloads::replay::derive(
             &db,
             causeway::workloads::replay::DeriveOptions::default(),
