@@ -32,18 +32,15 @@
 use crate::live::SeriesKey;
 use crate::render::{completion_forest, CompletedCall, CompletionNode};
 use causeway_collector::json::Json;
-use causeway_collector::segment::{next_frame, write_frame};
+use causeway_collector::segment::{BufMut, FrameFile, PayloadCursor};
 use causeway_core::event::CallKind;
 use causeway_core::ids::{InterfaceId, MethodIndex, ObjectId};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
 use causeway_core::names::VocabSnapshot;
 use causeway_core::record::FunctionKey;
 use causeway_core::uuid::Uuid;
-use causeway_core::wire;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Seek, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Static configuration of an [`ExemplarStore`].
 #[derive(Debug, Clone)]
@@ -165,7 +162,7 @@ pub struct ExemplarStore {
     admitted_n: u64,
     evicted_n: u64,
     rejected_n: u64,
-    spill: Option<ExemplarSpill>,
+    spill: Option<FrameFile>,
     spill_error: Option<String>,
     spill_errors: u64,
     /// Alert-referenced chains shielded from eviction, oldest pin first.
@@ -247,8 +244,16 @@ impl ExemplarStore {
             return store;
         }
         if let Some(path) = &cfg.spill {
-            match ExemplarSpill::open(path) {
-                Ok((spill, replay)) => {
+            let mut replay = Vec::new();
+            let opened = FrameFile::open(path, SPILL_MAGIC, |_, payload| {
+                let Some(exemplar) = decode_exemplar(payload) else {
+                    return false;
+                };
+                replay.push(exemplar);
+                true
+            });
+            match opened {
+                Ok(spill) => {
                     for ex in replay {
                         store.next_id = store.next_id.max(ex.id + 1);
                         store.place(ex);
@@ -306,7 +311,7 @@ impl ExemplarStore {
             completions: completions.to_vec(),
         };
         if let Some(spill) = &mut self.spill {
-            if let Err(e) = spill.append(&exemplar) {
+            if let Err(e) = spill.append([encode_exemplar(&exemplar)]) {
                 self.spill_errors += 1;
                 self.spill_error = Some(format!("{}: {e}", spill.path().display()));
                 self.spill = None; // degrade to memory-only, keep capturing
@@ -319,10 +324,10 @@ impl ExemplarStore {
     /// Shields a retained chain from eviction: the uuids a fired alert
     /// publishes must keep resolving at `/exemplars?id=` for as long as an
     /// operator might follow the link, however much faster traffic arrives
-    /// afterwards. Bounded FIFO — pinning past [`PIN_CAPACITY`] releases
-    /// the oldest pin; pinning an unretained chain is a no-op. Pins are
-    /// not spilled: after a restart the replayed store keeps whatever the
-    /// unpinned admission order retains.
+    /// afterwards. Bounded FIFO — pinning past `PIN_CAPACITY` (32) chains
+    /// releases the oldest pin; pinning an unretained chain is a no-op.
+    /// Pins are not spilled: after a restart the replayed store keeps
+    /// whatever the unpinned admission order retains.
     pub fn pin(&mut self, chain: Uuid) {
         if self.pinned.contains(&chain) {
             return;
@@ -648,136 +653,39 @@ fn kind_name(kind: CallKind) -> &'static str {
     }
 }
 
-// --- spill segment ------------------------------------------------------
+// --- spill segment and its payload codec --------------------------------
 
-/// Magic prefix of an exemplar spill segment file.
+/// Magic prefix of an exemplar spill segment file: a [`FrameFile`] with
+/// one checksummed frame per admission, replayed on restart.
 pub const SPILL_MAGIC: &[u8; 8] = b"CWEXMP1\n";
-
-/// Append-only disk segment of admitted exemplars, one checksummed frame
-/// per admission (the collector's segment framing, like the history
-/// spill). Reopen replays complete frames and truncates a torn tail.
-#[derive(Debug)]
-struct ExemplarSpill {
-    path: PathBuf,
-    out: BufWriter<File>,
-    end: u64,
-}
-
-impl ExemplarSpill {
-    /// Opens or creates the segment; returns the writer plus every intact
-    /// admission for replay. Refuses (`InvalidData`) a non-empty file that
-    /// is not an exemplar spill — a mistyped path must not destroy an
-    /// unrelated file.
-    fn open(path: impl AsRef<Path>) -> io::Result<(ExemplarSpill, Vec<Exemplar>)> {
-        let path = path.as_ref().to_path_buf();
-        let existing = match std::fs::read(&path) {
-            Ok(bytes)
-                if bytes.len() >= SPILL_MAGIC.len()
-                    && bytes[..SPILL_MAGIC.len()] == SPILL_MAGIC[..] =>
-            {
-                Some(bytes)
-            }
-            Ok(bytes) if SPILL_MAGIC.starts_with(&bytes) => None,
-            Ok(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{} exists but is not an exemplar spill segment; refusing to overwrite it",
-                        path.display()
-                    ),
-                ));
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        let mut replay = Vec::new();
-        let (file, end) = match existing {
-            Some(bytes) => {
-                let mut at = SPILL_MAGIC.len();
-                while let Some(frame) = next_frame(&bytes, at) {
-                    if wire::crc32(frame.payload) != frame.crc {
-                        break;
-                    }
-                    let Some(exemplar) = decode_exemplar(frame.payload) else {
-                        break;
-                    };
-                    replay.push(exemplar);
-                    at = frame.end;
-                }
-                let mut file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(at as u64)?; // drop the torn tail, if any
-                file.seek(SeekFrom::End(0))?;
-                (file, at as u64)
-            }
-            None => {
-                let mut file = File::create(&path)?;
-                file.write_all(SPILL_MAGIC)?;
-                file.flush()?;
-                (file, SPILL_MAGIC.len() as u64)
-            }
-        };
-        Ok((ExemplarSpill { path, out: BufWriter::new(file), end }, replay))
-    }
-
-    /// Appends one admission as a checksummed frame and flushes it.
-    fn append(&mut self, exemplar: &Exemplar) -> io::Result<()> {
-        let payload = encode_exemplar(exemplar);
-        write_frame(&mut self.out, &payload)?;
-        self.out.flush()?;
-        self.end += (payload.len() + 8) as u64;
-        Ok(())
-    }
-
-    fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-// --- exemplar wire codec (spill frame payloads) -------------------------
-
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u128(buf: &mut Vec<u8>, v: u128) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
 
 /// Encodes one exemplar as a spill frame payload: scalars, then each
 /// completion event in order.
-fn encode_exemplar(e: &Exemplar) -> Vec<u8> {
+pub(crate) fn encode_exemplar(e: &Exemplar) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + e.completions.len() * 27);
-    put_u64(&mut buf, e.id);
-    put_u128(&mut buf, e.chain.0);
-    put_u32(&mut buf, e.series.0 .0);
-    put_u16(&mut buf, e.series.1 .0);
-    put_u64(&mut buf, e.latency_ns);
-    put_u64(&mut buf, e.window_index);
-    buf.push(e.verdict.tag());
-    put_u32(&mut buf, e.completions.len() as u32);
+    buf.put_u64_le(e.id);
+    buf.put_u128_le(e.chain.0);
+    buf.put_u32_le(e.series.0 .0);
+    buf.put_u16_le(e.series.1 .0);
+    buf.put_u64_le(e.latency_ns);
+    buf.put_u64_le(e.window_index);
+    buf.put_u8(e.verdict.tag());
+    buf.put_u32_le(e.completions.len() as u32);
     for call in &e.completions {
-        put_u32(&mut buf, call.func.interface.0);
-        put_u16(&mut buf, call.func.method.0);
-        put_u64(&mut buf, call.func.object.0);
-        buf.push(call_kind_tag(call.kind));
-        put_u32(&mut buf, call.depth.min(u32::MAX as usize) as u32);
-        put_u64(&mut buf, call.latency_ns);
+        buf.put_u32_le(call.func.interface.0);
+        buf.put_u16_le(call.func.method.0);
+        buf.put_u64_le(call.func.object.0);
+        buf.put_u8(call_kind_tag(call.kind));
+        buf.put_u32_le(call.depth.min(u32::MAX as usize) as u32);
+        buf.put_u64_le(call.latency_ns);
     }
     buf
 }
 
 /// Decodes a spill frame payload; `None` on short, trailing, or
 /// out-of-range data (the reader treats that frame as torn).
-fn decode_exemplar(payload: &[u8]) -> Option<Exemplar> {
-    let mut r = Reader { bytes: payload, at: 0 };
+pub(crate) fn decode_exemplar(payload: &[u8]) -> Option<Exemplar> {
+    let mut r = PayloadCursor::new(payload);
     let id = r.u64()?;
     let chain = Uuid(r.u128()?);
     let series = (InterfaceId(r.u32()?), MethodIndex(r.u16()?));
@@ -797,7 +705,7 @@ fn decode_exemplar(payload: &[u8]) -> Option<Exemplar> {
         let latency_ns = r.u64()?;
         completions.push(CompletedCall { func, kind, depth, latency_ns });
     }
-    if r.at != payload.len() {
+    if r.remaining() != 0 {
         return None; // trailing bytes: not a frame we wrote
     }
     Some(Exemplar { id, chain, series, latency_ns, window_index, verdict, completions })
@@ -819,40 +727,6 @@ fn call_kind_from_tag(tag: u8) -> Option<CallKind> {
         2 => Some(CallKind::Collocated),
         3 => Some(CallKind::CustomMarshal),
         _ => None,
-    }
-}
-
-/// Bounds-checked little-endian cursor over a frame payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Option<&[u8]> {
-        let out = self.bytes.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(out)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes(b.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn u128(&mut self) -> Option<u128> {
-        self.take(16).map(|b| u128::from_le_bytes(b.try_into().expect("16 bytes")))
     }
 }
 

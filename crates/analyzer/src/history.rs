@@ -24,15 +24,13 @@
 use crate::incident::wall_clock_ms;
 use crate::latency::LatencyHistogram;
 use crate::live::{AlertEvent, AlertRule, SeriesAgg, WindowSnapshot};
-use causeway_collector::segment::{next_frame, write_frame};
+use causeway_collector::segment::{BufMut, FrameFile, PayloadCursor};
 use causeway_core::ids::{InterfaceId, MethodIndex};
 use causeway_core::metrics::{Counter, Gauge, MetricsRegistry};
-use causeway_core::wire;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
 /// One finalized tumbling window as retained by the history store.
 #[derive(Debug, Clone, PartialEq)]
@@ -314,25 +312,21 @@ pub const SPILL_MAGIC: &[u8; 8] = b"CWHIST1\n";
 /// An append-only disk segment of evicted [`HistoryEntry`] values — the
 /// overflow tier under [`WindowHistory`]'s in-memory ring.
 ///
-/// The file layout reuses the collector's segment framing
-/// ([`causeway_collector::segment`]): an 8-byte magic, then one
-/// length-prefixed CRC-checksummed frame per evicted window, each payload a
-/// self-contained encoding of the entry (aggregates with sparse histogram
-/// buckets, plus the folded-stack map). Appends flush eagerly so every
-/// *completed* frame is readable; a torn tail from a crashed writer is
-/// detected and truncated on reopen, exactly like run-log recovery.
+/// The file is a [`FrameFile`] (the collector's crash-safe segment
+/// framing): an 8-byte magic, then one length-prefixed CRC-checksummed
+/// frame per evicted window, each payload a self-contained encoding of the
+/// entry (aggregates with sparse histogram buckets, plus the folded-stack
+/// map). Appends flush eagerly so every *completed* frame is readable; a
+/// torn tail from a crashed writer is truncated on reopen.
 ///
 /// Reads open the file afresh per lookup (an in-memory `ordinal →
 /// (offset, len)` index makes each a single seek + bounded read), so
 /// lookups work through `&self` while the writer stays open for appends.
 #[derive(Debug)]
 pub struct HistorySpill {
-    path: PathBuf,
-    out: BufWriter<File>,
+    file: FrameFile,
     /// Window ordinal → (frame offset, full frame length incl. framing).
     index: BTreeMap<u64, (u64, u32)>,
-    /// Offset one past the last complete frame (the append position).
-    end: u64,
 }
 
 impl HistorySpill {
@@ -347,56 +341,15 @@ impl HistorySpill {
     /// Only missing, empty, or magic-prefixed files are (re)created.
     /// Otherwise propagates file create/read/seek/truncate failures.
     pub fn open(path: impl AsRef<Path>) -> io::Result<HistorySpill> {
-        let path = path.as_ref().to_path_buf();
-        let existing = match std::fs::read(&path) {
-            Ok(bytes)
-                if bytes.len() >= SPILL_MAGIC.len()
-                    && bytes[..SPILL_MAGIC.len()] == SPILL_MAGIC[..] =>
-            {
-                Some(bytes)
-            }
-            // Empty files (and a torn magic from our own interrupted
-            // create) are safe to rewrite from scratch.
-            Ok(bytes) if SPILL_MAGIC.starts_with(&bytes) => None,
-            Ok(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{} exists but is not a history spill segment; refusing to overwrite it",
-                        path.display()
-                    ),
-                ));
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
         let mut index = BTreeMap::new();
-        let (file, end) = match existing {
-            Some(bytes) => {
-                let mut at = SPILL_MAGIC.len();
-                while let Some(frame) = next_frame(&bytes, at) {
-                    if wire::crc32(frame.payload) != frame.crc {
-                        break;
-                    }
-                    let Some(entry) = decode_entry(frame.payload) else {
-                        break;
-                    };
-                    index.insert(entry.window.index, (at as u64, (frame.end - at) as u32));
-                    at = frame.end;
-                }
-                let mut file = OpenOptions::new().write(true).open(&path)?;
-                file.set_len(at as u64)?; // drop the torn tail, if any
-                file.seek(SeekFrom::End(0))?;
-                (file, at as u64)
-            }
-            None => {
-                let mut file = File::create(&path)?;
-                file.write_all(SPILL_MAGIC)?;
-                file.flush()?;
-                (file, SPILL_MAGIC.len() as u64)
-            }
-        };
-        Ok(HistorySpill { path, out: BufWriter::new(file), index, end })
+        let file = FrameFile::open(path, SPILL_MAGIC, |span, payload| {
+            let Some(entry) = decode_entry(payload) else {
+                return false;
+            };
+            index.insert(entry.window.index, span);
+            true
+        })?;
+        Ok(HistorySpill { file, index })
     }
 
     /// Appends one evicted entry as a checksummed frame and flushes, so the
@@ -407,12 +360,8 @@ impl HistorySpill {
     /// Propagates the write/flush failure; the index is only updated after
     /// a successful flush.
     pub fn append(&mut self, entry: &HistoryEntry) -> io::Result<()> {
-        let payload = encode_entry(entry);
-        write_frame(&mut self.out, &payload)?;
-        self.out.flush()?;
-        let frame_len = (payload.len() + 8) as u32;
-        self.index.insert(entry.window.index, (self.end, frame_len));
-        self.end += u64::from(frame_len);
+        let spans = self.file.append([encode_entry(entry)])?;
+        self.index.insert(entry.window.index, spans[0]);
         Ok(())
     }
 
@@ -421,15 +370,7 @@ impl HistorySpill {
     /// intact (file removed, truncated, or damaged since).
     pub fn get(&self, window: u64) -> Option<HistoryEntry> {
         let (offset, len) = *self.index.get(&window)?;
-        let mut file = File::open(&self.path).ok()?;
-        file.seek(SeekFrom::Start(offset)).ok()?;
-        let mut buf = vec![0u8; len as usize];
-        file.read_exact(&mut buf).ok()?;
-        let frame = next_frame(&buf, 0)?;
-        if wire::crc32(frame.payload) != frame.crc {
-            return None;
-        }
-        decode_entry(frame.payload)
+        decode_entry(&self.file.read_at(offset, len)?)
     }
 
     /// `true` when ordinal `window` has a spilled frame.
@@ -459,102 +400,54 @@ impl HistorySpill {
 
     /// Bytes in the spill file (magic + complete frames).
     pub fn bytes(&self) -> u64 {
-        self.end
+        self.file.end()
     }
 
     /// The spill file's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
     }
 }
 
 // --- HistoryEntry wire codec (spill frame payloads) ---------------------
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Encodes one entry as a spill frame payload: window scalars, then each
 /// series (key, calls, latency sum, sparse histogram buckets), then the
 /// folded-stack map. All integers little-endian, strings UTF-8
 /// length-prefixed — self-contained and byte-stable for a given entry.
-fn encode_entry(entry: &HistoryEntry) -> Vec<u8> {
+pub(crate) fn encode_entry(entry: &HistoryEntry) -> Vec<u8> {
     let w = &entry.window;
     let mut buf = Vec::with_capacity(64 + w.series.len() * 64 + entry.folded.len() * 40);
-    put_u64(&mut buf, w.index);
-    put_u64(&mut buf, w.span_ns);
-    put_u64(&mut buf, w.completed_calls);
-    put_u64(&mut buf, w.abnormalities);
-    put_u32(&mut buf, w.series.len() as u32);
+    buf.put_u64_le(w.index);
+    buf.put_u64_le(w.span_ns);
+    buf.put_u64_le(w.completed_calls);
+    buf.put_u64_le(w.abnormalities);
+    buf.put_u32_le(w.series.len() as u32);
     for ((iface, method), agg) in &w.series {
-        put_u32(&mut buf, iface.0);
-        put_u16(&mut buf, method.0);
-        put_u64(&mut buf, agg.calls);
-        put_u64(&mut buf, agg.latency_sum_ns);
+        buf.put_u32_le(iface.0);
+        buf.put_u16_le(method.0);
+        buf.put_u64_le(agg.calls);
+        buf.put_u64_le(agg.latency_sum_ns);
         let occupied: Vec<(usize, u64)> = agg.hist.occupied_buckets().collect();
-        buf.push(occupied.len() as u8); // at most 64 buckets
+        buf.put_u8(occupied.len() as u8); // at most 64 buckets
         for (i, n) in occupied {
-            buf.push(i as u8);
-            put_u64(&mut buf, n);
+            buf.put_u8(i as u8);
+            buf.put_u64_le(n);
         }
     }
-    put_u32(&mut buf, entry.folded.len() as u32);
+    buf.put_u32_le(entry.folded.len() as u32);
     for (stack, self_ns) in &entry.folded {
-        put_u32(&mut buf, stack.len() as u32);
-        buf.extend_from_slice(stack.as_bytes());
-        put_u64(&mut buf, *self_ns);
+        buf.put_u32_le(stack.len() as u32);
+        buf.put_slice(stack.as_bytes());
+        buf.put_u64_le(*self_ns);
     }
     buf
 }
 
-/// Cursor over a spill frame payload; every accessor returns `None` past
-/// the end, so a short or malformed payload decodes to `None`, never a
-/// panic.
-struct SpillReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> SpillReader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes(b.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-}
-
 /// Decodes a spill frame payload written by [`encode_entry`]. `None` on
 /// any structural mismatch (short payload, bad UTF-8, trailing bytes).
-fn decode_entry(payload: &[u8]) -> Option<HistoryEntry> {
-    let mut r = SpillReader { bytes: payload, at: 0 };
+pub(crate) fn decode_entry(payload: &[u8]) -> Option<HistoryEntry> {
+    let mut r = PayloadCursor::new(payload);
     let index = r.u64()?;
     let span_ns = r.u64()?;
     let completed_calls = r.u64()?;
@@ -571,7 +464,9 @@ fn decode_entry(payload: &[u8]) -> Option<HistoryEntry> {
         for _ in 0..occupied {
             let bucket = r.u8()? as usize;
             let count = r.u64()?;
-            if bucket >= 64 || count == 0 {
+            // A total past u64::MAX was never encoded; adding it would
+            // overflow the histogram's count.
+            if bucket >= 64 || count == 0 || hist.count().checked_add(count).is_none() {
                 return None;
             }
             hist.add_bucket_count(bucket, count);
@@ -586,7 +481,7 @@ fn decode_entry(payload: &[u8]) -> Option<HistoryEntry> {
         let self_ns = r.u64()?;
         folded.insert(stack, self_ns);
     }
-    if !r.done() {
+    if r.remaining() != 0 {
         return None;
     }
     Some(HistoryEntry {
@@ -787,6 +682,7 @@ mod tests {
     use super::*;
     use crate::live::{AlertCmp, AlertMetric};
     use std::collections::BTreeMap;
+    use std::fs::OpenOptions;
 
     fn snapshot(index: u64, p_latency_ns: u64, calls: u64) -> WindowSnapshot {
         let mut series = BTreeMap::new();

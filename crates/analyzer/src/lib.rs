@@ -46,6 +46,8 @@ pub mod latency;
 pub mod live;
 pub mod online;
 pub mod render;
+#[cfg(test)]
+mod spill_tests;
 
 pub use ccsg::{Ccsg, CcsgNode};
 pub use cpu::{CpuAnalysis, CpuVector};

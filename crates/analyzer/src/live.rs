@@ -875,7 +875,6 @@ struct Control {
     closed_len: u64,
     /// Raw records of the current tumbling window (capped) for `/trace`.
     window_records: Vec<ProbeRecord>,
-    window_records_dropped: u64,
     last_window_records: Vec<ProbeRecord>,
     last_window: Option<WindowSnapshot>,
     alerts: Vec<AlertState>,
@@ -1035,7 +1034,6 @@ impl LiveMonitor {
                 current: None,
                 closed_len: 0,
                 window_records: Vec::new(),
-                window_records_dropped: 0,
                 last_window_records: Vec::new(),
                 last_window: None,
                 alerts: Vec::new(),
@@ -1263,13 +1261,8 @@ impl LiveMonitor {
         let target = {
             let mut c = self.control_lock();
             self.roll_locked(&mut c, now_ns);
-            for record in &records {
-                if c.window_records.len() < self.cfg.trace_capacity {
-                    c.window_records.push(record.clone());
-                } else {
-                    c.window_records_dropped += 1;
-                }
-            }
+            let room = self.cfg.trace_capacity.saturating_sub(c.window_records.len());
+            c.window_records.extend(records.iter().take(room).cloned());
             c.current.expect("roll_locked sets current")
         };
 
@@ -1699,7 +1692,6 @@ impl LiveMonitor {
         }
 
         c.last_window_records = std::mem::take(&mut c.window_records);
-        c.window_records_dropped = 0;
         c.last_window = Some(snap);
     }
     /// Registers an incident for a just-fired alert, populates its add-only
@@ -3125,6 +3117,10 @@ mod tests {
     use causeway_core::ids::{LogicalThreadId, NodeId, ObjectId, ProcessId};
     use causeway_core::names::{ComponentId, InterfaceEntry, ObjectEntry};
     use causeway_core::record::{CallSite, FunctionKey};
+    use proptest::prelude::{
+        any, prop, prop_assert, prop_assert_eq, prop_oneof, proptest, BoxedStrategy,
+        ProptestConfig, Strategy,
+    };
 
     const SLICE_NS: u64 = 200_000_000; // 5 slices of a 1s window
     const WINDOW_NS: u64 = 1_000_000_000;
@@ -4480,5 +4476,79 @@ mod tests {
             .iter()
             .any(|n| n.what.contains("probe Test::Alpha") && n.what.contains("both"));
         assert!(noted, "timeline: {:?}", incident.timeline());
+    }
+
+    // ---- POST body totality ----
+
+    /// A `POST` body for the two write routes: raw bytes, free text, or a
+    /// JSON object drawn from the fields they read, each with well-formed,
+    /// mistyped and out-of-range values. TTLs are long or invalid, so no
+    /// accepted override can expire between two state snapshots.
+    fn post_body() -> BoxedStrategy<Vec<u8>> {
+        const FIELDS: [(&str, &[&str]); 8] = [
+            ("iface", &["\"Test::Alpha\"", "\"Nope::Gone\"", "1", "-1", "0.5", "1e300", "null"]),
+            ("mode", &["\"both\"", "\"base\"", "\"warp\"", "7", "[]"]),
+            ("ttl_ms", &["60000", "0", "-5", "0.5", "1e300", "\"x\""]),
+            ("incident", &["0", "1", "2", "-1", "1.5", "1e300", "\"1\""]),
+            ("hypothesis", &["0", "1", "2", "99", "-1", "null"]),
+            ("pass", &["\"operator\"", "\"ci-probe\"", "\"bad pass!\"", "\"\"", "3"]),
+            ("reason", &["\"flaky\"", "\"\\u00e9\"", "{}"]),
+            ("", &["0", "\"\""]),
+        ];
+        // An object with one route's two required fields first, then up
+        // to three more drawn at random.
+        let object = |lead: [usize; 2]| {
+            let more = prop::collection::vec((0..FIELDS.len(), any::<usize>()), 0..4);
+            (any::<usize>(), any::<usize>(), more).prop_map(move |(a, b, more)| {
+                let fields: Vec<String> = [(lead[0], a), (lead[1], b)]
+                    .into_iter()
+                    .chain(more)
+                    .map(|(f, v)| {
+                        let (key, values) = FIELDS[f];
+                        format!("\"{key}\": {}", values[v % values.len()])
+                    })
+                    .collect();
+                format!("{{{}}}", fields.join(", ")).into_bytes()
+            })
+        };
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..64),
+            ".{0,80}".prop_map(String::into_bytes),
+            object([0, 1]),
+            object([3, 4]),
+        ]
+    }
+
+    type PostHandler = fn(&LiveMonitor, &[u8]) -> Result<Json, (u16, String)>;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The handlers behind `POST /probes` and `POST
+        /// /incidents/eliminate` answer any body with 200 or a 4xx, never
+        /// panic, and leave the monitor unchanged on every 4xx.
+        #[test]
+        fn post_bodies_are_total(bodies in prop::collection::vec(post_body(), 1..8)) {
+            let (m, _policy) = adaptive_monitor(ProbeMode::CausalityOnly);
+            m.add_rule(p95_rule("post"));
+            m.ingest_batch_at(sync_call(1, 0, 0, 5_000_000), 5);
+            m.tick_at(WINDOW_NS); // fires: opens an incident to eliminate from
+            let state = |m: &LiveMonitor| {
+                let details: Vec<Option<String>> =
+                    (0..3).map(|id| m.incident_json(id).map(|j| j.to_string())).collect();
+                (m.probes_json().to_string(), m.incidents_json().to_string(), details)
+            };
+            let handlers: [PostHandler; 2] =
+                [LiveMonitor::probe_override_json, LiveMonitor::eliminate_json];
+            for body in &bodies {
+                for handler in handlers {
+                    let before = state(&m);
+                    if let Err((status, why)) = handler(&m, body) {
+                        prop_assert!((400..500).contains(&status), "{status}: {why}");
+                        prop_assert_eq!(state(&m), before, "a {} ({}) changed state", status, why);
+                    }
+                }
+            }
+        }
     }
 }

@@ -42,7 +42,7 @@
 //! and without per-line scanning, since the fixed record width makes
 //! every split point pure arithmetic.
 
-use bytes::BufMut;
+pub use bytes::BufMut;
 use causeway_core::deploy::{Deployment, NodeInfo, ProcessInfo};
 use causeway_core::ids::{CpuTypeId, InterfaceId, LogicalThreadId, NodeId, ObjectId, ProcessId};
 use causeway_core::names::{ComponentId, InterfaceEntry, ObjectEntry, VocabSnapshot};
@@ -51,9 +51,9 @@ use causeway_core::record::ProbeRecord;
 use causeway_core::runlog::RunLog;
 use causeway_core::sink::Chunk;
 use causeway_core::wire::{self, RECORD_WIRE_LEN};
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 /// The 8-byte file magic opening every segment.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"CWSEG01\n";
@@ -112,7 +112,7 @@ fn corrupt(message: impl Into<String>) -> SegmentError {
 }
 
 // ---------------------------------------------------------------------------
-// Frame primitives (shared with the analyzer's history spill).
+// Frame primitives (shared with the analyzer's history and exemplar spills).
 // ---------------------------------------------------------------------------
 
 /// Appends one `[len][crc][payload]` frame to `buf`.
@@ -184,46 +184,254 @@ pub fn next_frame(bytes: &[u8], offset: usize) -> Option<RawFrame<'_>> {
     Some(RawFrame { payload: &rest[8..8 + len], end: offset + 8 + len, crc })
 }
 
+/// An append-only file of `magic frame*` — the one crash-safe file
+/// primitive under segments ([`SegmentWriter`]) and the analyzer's history
+/// and exemplar spills, which differ only in their magic and payload codec.
+///
+/// Every [`FrameFile::append`] flushes its frames through the OS before it
+/// returns, so a crash loses only frames never appended; reopening with
+/// [`FrameFile::open`] keeps the longest verified frame prefix and
+/// truncates the torn tail. Both only ever rewrite a file carrying the
+/// expected magic: any other non-empty file is refused (`InvalidData`),
+/// so a mistyped path cannot wipe an unrelated file.
+#[derive(Debug)]
+pub struct FrameFile {
+    path: PathBuf,
+    out: BufWriter<File>,
+    /// Offset one past the last complete frame (the append position).
+    end: u64,
+}
+
+impl FrameFile {
+    /// Creates the file at `path` — replacing an earlier file with the same
+    /// magic — and writes and flushes `magic`.
+    ///
+    /// # Errors
+    ///
+    /// Refuses (`InvalidData`) a non-empty file whose first bytes are not
+    /// (a prefix of) `magic`; only those first `magic.len()` bytes are
+    /// read. Otherwise propagates open, truncate and write failures.
+    pub fn create(path: impl AsRef<Path>, magic: &[u8]) -> io::Result<FrameFile> {
+        let path = path.as_ref();
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        let mut prefix = Vec::with_capacity(magic.len());
+        (&mut file).take(magic.len() as u64).read_to_end(&mut prefix)?;
+        if !magic.starts_with(&prefix) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{} exists but is not a {} file; refusing to overwrite it",
+                    path.display(),
+                    String::from_utf8_lossy(magic).trim_end()
+                ),
+            ));
+        }
+        file.set_len(0)?;
+        file.rewind()?;
+        let mut out = BufWriter::new(file);
+        out.write_all(magic)?;
+        out.flush()?;
+        Ok(FrameFile { path: path.to_path_buf(), out, end: magic.len() as u64 })
+    }
+
+    /// Reopens the file at `path` to append after its intact frames, or
+    /// creates it when it is missing, empty, or holds only a torn magic.
+    ///
+    /// Each complete, checksum-verified frame is handed to `accept` with
+    /// its `(offset, len)` span (`len` counts the 8 framing bytes). The
+    /// scan stops at the first torn frame, checksum mismatch, or frame
+    /// `accept` refuses; everything from there on is truncated away and
+    /// appends continue at the end of the last accepted frame.
+    ///
+    /// # Errors
+    ///
+    /// Refuses (`InvalidData`) a non-empty file that does not start with
+    /// `magic`. Otherwise propagates read, truncate and seek failures.
+    pub fn open(
+        path: impl AsRef<Path>,
+        magic: &[u8],
+        mut accept: impl FnMut((u64, u32), &[u8]) -> bool,
+    ) -> io::Result<FrameFile> {
+        let path = path.as_ref();
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        if !bytes.starts_with(magic) {
+            // Nothing to keep: `create` rewrites an empty file or a torn
+            // magic from an interrupted create, and refuses anything else.
+            return FrameFile::create(path, magic);
+        }
+        let mut at = magic.len();
+        while let Some(frame) = next_frame(&bytes, at) {
+            let span = (at as u64, (frame.end - at) as u32);
+            if wire::crc32(frame.payload) != frame.crc || !accept(span, frame.payload) {
+                break;
+            }
+            at = frame.end;
+        }
+        let mut file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(at as u64)?; // drop the torn tail, if any
+        file.seek(SeekFrom::End(0))?;
+        Ok(FrameFile { path: path.to_path_buf(), out: BufWriter::new(file), end: at as u64 })
+    }
+
+    /// Writes each payload as one frame, then flushes once, and returns
+    /// every frame's `(offset, len)` span for [`FrameFile::read_at`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`write_frame`]'s refusal of oversized payloads and any
+    /// write or flush failure; the append position only advances after a
+    /// successful flush.
+    pub fn append<P: AsRef<[u8]>>(
+        &mut self,
+        payloads: impl IntoIterator<Item = P>,
+    ) -> io::Result<Vec<(u64, u32)>> {
+        let mut spans = Vec::new();
+        let mut at = self.end;
+        for payload in payloads {
+            let payload = payload.as_ref();
+            write_frame(&mut self.out, payload)?;
+            let len = (payload.len() + 8) as u32;
+            spans.push((at, len));
+            at += u64::from(len);
+        }
+        self.out.flush()?;
+        self.end = at;
+        Ok(spans)
+    }
+
+    /// Reads one frame back through a fresh file handle and returns its
+    /// payload once the checksum verifies. `None` when the span no longer
+    /// reads back intact (file removed, truncated, or damaged since).
+    pub fn read_at(&self, offset: u64, len: u32) -> Option<Vec<u8>> {
+        let mut file = File::open(&self.path).ok()?;
+        file.seek(SeekFrom::Start(offset)).ok()?;
+        let mut buf = vec![0u8; len as usize];
+        file.read_exact(&mut buf).ok()?;
+        let frame = next_frame(&buf, 0)?;
+        (wire::crc32(frame.payload) == frame.crc).then(|| frame.payload.to_vec())
+    }
+
+    /// Syncs the appended (already flushed) frames to stable storage.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sync failure.
+    pub fn sync(&self) -> io::Result<()> {
+        self.out.get_ref().sync_all()
+    }
+
+    /// Bytes in the file: the magic plus every complete frame.
+    pub fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// The file's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+/// Bounds-checked little-endian cursor over a frame payload: every
+/// accessor returns `None` past the end, so a short or malformed payload
+/// decodes to `None`, never a panic. Encoders write the same layout with
+/// [`BufMut`]'s `put_*_le` methods.
+#[derive(Debug)]
+pub struct PayloadCursor<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> PayloadCursor<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> PayloadCursor<'a> {
+        PayloadCursor { bytes, at: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let out = self.bytes.get(self.at..self.at.checked_add(n)?)?;
+        self.at += n;
+        Some(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N).map(|b| b.try_into().expect("N bytes"))
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// The next little-endian `u16`.
+    pub fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The next little-endian `u128`.
+    pub fn u128(&mut self) -> Option<u128> {
+        self.array().map(u128::from_le_bytes)
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Payload codecs.
 // ---------------------------------------------------------------------------
 
-/// Bounded little-endian reader over a frame payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// [`PayloadCursor`] with the segment reader's error reporting.
+struct Reader<'a>(PayloadCursor<'a>);
+
+fn truncated() -> SegmentError {
+    corrupt("frame payload truncated")
 }
 
 impl<'a> Reader<'a> {
     fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
+        Reader(PayloadCursor::new(bytes))
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SegmentError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| corrupt("frame payload truncated"))?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
+        self.0.take(n).ok_or_else(truncated)
     }
 
     fn u8(&mut self) -> Result<u8, SegmentError> {
-        Ok(self.take(1)?[0])
+        self.0.u8().ok_or_else(truncated)
     }
 
     fn u16(&mut self) -> Result<u16, SegmentError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        self.0.u16().ok_or_else(truncated)
     }
 
     fn u32(&mut self) -> Result<u32, SegmentError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        self.0.u32().ok_or_else(truncated)
     }
 
     fn u64(&mut self) -> Result<u64, SegmentError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        self.0.u64().ok_or_else(truncated)
     }
 
     fn str(&mut self) -> Result<String, SegmentError> {
@@ -246,10 +454,9 @@ impl<'a> Reader<'a> {
     }
 
     fn done(&self) -> Result<(), SegmentError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(corrupt(format!("{} trailing payload bytes", self.bytes.len() - self.pos)))
+        match self.0.remaining() {
+            0 => Ok(()),
+            n => Err(corrupt(format!("{n} trailing payload bytes"))),
         }
     }
 }
@@ -447,13 +654,13 @@ fn decode_seal(payload: &[u8]) -> Result<(u64, Option<u64>), SegmentError> {
 /// ```
 #[derive(Debug)]
 pub struct SegmentWriter {
-    out: BufWriter<File>,
+    file: FrameFile,
     records_written: u64,
-    sealed: bool,
 }
 
 impl SegmentWriter {
-    /// Creates (truncating) a segment file and writes its header frame.
+    /// Creates a segment file and writes its header frame. An earlier
+    /// segment at `path` is replaced; any other non-empty file is refused.
     ///
     /// `expected_records` is the pre-declared record count, when the
     /// workload knows it up front — it is what lets recovery of a crashed
@@ -462,19 +669,18 @@ impl SegmentWriter {
     ///
     /// # Errors
     ///
-    /// Propagates file-creation and write errors.
+    /// Refuses (`InvalidData`) a non-empty file at `path` that is not a
+    /// segment (see [`FrameFile::create`]); otherwise propagates
+    /// file-creation and write errors.
     pub fn create(
         path: impl AsRef<Path>,
         vocab: &VocabSnapshot,
         deployment: &Deployment,
         expected_records: Option<u64>,
     ) -> io::Result<SegmentWriter> {
-        let file = File::create(path)?;
-        let mut out = BufWriter::new(file);
-        out.write_all(SEGMENT_MAGIC)?;
-        write_frame(&mut out, &encode_header(vocab, deployment, expected_records))?;
-        out.flush()?;
-        Ok(SegmentWriter { out, records_written: 0, sealed: false })
+        let mut file = FrameFile::create(path, SEGMENT_MAGIC)?;
+        file.append([encode_header(vocab, deployment, expected_records)])?;
+        Ok(SegmentWriter { file, records_written: 0 })
     }
 
     /// Appends one sealed sink chunk as a checksummed frame and flushes.
@@ -508,14 +714,12 @@ impl SegmentWriter {
         records: &[ProbeRecord],
         records_per_frame: usize,
     ) -> io::Result<()> {
-        if records.is_empty() {
-            write_frame(&mut self.out, &encode_chunk(thread, records))?;
-        } else {
-            for batch in records.chunks(records_per_frame.max(1)) {
-                write_frame(&mut self.out, &encode_chunk(thread, batch))?;
-            }
-        }
-        self.out.flush()?;
+        // An empty batch still leaves one (empty) chunk frame behind.
+        let empty = records.is_empty().then(|| encode_chunk(thread, records));
+        let frames = records
+            .chunks(records_per_frame.max(1))
+            .map(|batch| encode_chunk(thread, batch));
+        self.file.append(frames.chain(empty))?;
         self.records_written += records.len() as u64;
         Ok(())
     }
@@ -534,10 +738,8 @@ impl SegmentWriter {
     ///
     /// Propagates write and sync errors.
     pub fn finish(mut self, expected_records: Option<u64>) -> io::Result<()> {
-        write_frame(&mut self.out, &encode_seal(self.records_written, expected_records))?;
-        self.out.flush()?;
-        self.sealed = true;
-        self.out.get_ref().sync_all()
+        self.file.append([encode_seal(self.records_written, expected_records)])?;
+        self.file.sync()
     }
 }
 
@@ -932,5 +1134,28 @@ mod tests {
         assert_eq!(recovery.run.records, run.records);
         assert_eq!(recovery.run.expected_records, Some(40));
         assert_eq!(recovery.run.missing_records(), None, "nothing was lost");
+    }
+
+    #[test]
+    fn writer_refuses_to_overwrite_foreign_files() {
+        let path = std::env::temp_dir()
+            .join(format!("segment_foreign_test_{}.cwseg", std::process::id()));
+        let run = sample_run(4);
+        let create = || SegmentWriter::create(&path, &run.vocab, &run.deployment, Some(4));
+        for foreign in [&b"important unrelated data"[..], b"CWX"] {
+            std::fs::write(&path, foreign).unwrap();
+            assert_eq!(create().unwrap_err().kind(), io::ErrorKind::InvalidData);
+            assert_eq!(std::fs::read(&path).unwrap(), foreign, "the foreign file is untouched");
+        }
+        // Empty files and earlier segments carry nothing to protect; the
+        // rewritten segment is byte-identical to the in-memory encoding.
+        for replaceable in [Vec::new(), write_run_log(&sample_run(50))] {
+            std::fs::write(&path, replaceable).unwrap();
+            let mut writer = create().unwrap();
+            writer.append_records(run.records[0].site.thread, &run.records).unwrap();
+            writer.finish(Some(4)).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), write_run_log(&run));
+        }
+        std::fs::remove_file(&path).ok();
     }
 }
